@@ -7,202 +7,162 @@
 package cow
 
 import (
-	"fmt"
-	"runtime"
-	"sync/atomic"
 	"time"
 
-	"kaminotx/internal/engine"
+	"kaminotx/internal/engine/txcore"
 	"kaminotx/internal/heap"
 	"kaminotx/internal/intentlog"
-	"kaminotx/internal/locktable"
 	"kaminotx/internal/nvm"
 	"kaminotx/internal/obs"
-	"kaminotx/internal/recovery"
-	"kaminotx/internal/trace"
 )
 
-// Engine is the copy-on-write engine.
-type Engine struct {
-	heap  *heap.Heap
-	log   *intentlog.Log
-	locks *locktable.Table
-	obs   *obs.Registry
-
-	recov []recovery.StageReport // stage timings of the Open that built us
-	tr    atomic.Pointer[trace.Tracer]
-
-	commits  *obs.Counter
-	aborts   *obs.Counter
-	critCopy *obs.Counter
-	depWaits *obs.Counter
-
-	phStall    *obs.PhaseStat // dependent-lock acquisition time
-	phCritCopy *obs.PhaseStat // shadow creation copy
-	phIntent   *obs.PhaseStat // pre-marker shadow/alloc persist
-	phMarker   *obs.PhaseStat // commit-marker persist
-	phCopyBack *obs.PhaseStat // post-commit shadow-to-original apply
-}
-
-func newEngine(h *heap.Heap, l *intentlog.Log, heapReg, logReg *nvm.Region) *Engine {
-	o := obs.New("cow")
-	heapReg.ExportObs(o, "nvm.main")
-	logReg.ExportObs(o, "nvm.log")
-	return &Engine{
-		heap: h, log: l, locks: locktable.New(), obs: o,
-		commits:    o.Counter("commits"),
-		aborts:     o.Counter("aborts"),
-		critCopy:   o.Counter("bytes_copied_critical"),
-		depWaits:   o.Counter("dependent_waits"),
-		phStall:    o.Phase(obs.PhaseDependentStall),
-		phCritCopy: o.Phase(obs.PhaseCriticalCopy),
-		phIntent:   o.Phase(obs.PhaseIntentPersist),
-		phMarker:   o.Phase(obs.PhaseCommitPersist),
-		phCopyBack: o.Phase(obs.PhaseCopyBack),
-	}
-}
+// Config tunes the engine: the intent-log geometry (its per-slot data
+// area holds the shadows) and the concurrency shard count.
+type Config = txcore.Config
 
 // New formats a fresh heap and log and returns an engine over them.
-func New(heapReg, logReg *nvm.Region, logCfg intentlog.Config) (*Engine, error) {
-	return NewSharded(heapReg, logReg, logCfg, 0)
-}
-
-// NewSharded is New with an explicit concurrency shard count for the lock
-// table, heap allocator, and intent-log free-slot pool (0 selects each
-// layer's default). Sharding is volatile-only; it never changes what is
-// written to NVM.
-func NewSharded(heapReg, logReg *nvm.Region, logCfg intentlog.Config, shards int) (*Engine, error) {
-	h, err := heap.Format(heapReg)
-	if err != nil {
-		return nil, err
-	}
-	l, err := intentlog.Format(logReg, logCfg)
-	if err != nil {
-		return nil, err
-	}
-	e := newEngine(h, l, heapReg, logReg)
-	e.reshard(shards)
-	return e, nil
+func New(heapReg, logReg *nvm.Region, cfg Config) (*txcore.Engine, error) {
+	return txcore.New("cow", heapReg, logReg, cfg, build)
 }
 
 // Open attaches to existing regions, runs crash recovery, and rebuilds the
 // heap free lists.
-func Open(heapReg, logReg *nvm.Region) (*Engine, error) {
-	return OpenSharded(heapReg, logReg, 0)
+func Open(heapReg, logReg *nvm.Region, cfg Config) (*txcore.Engine, error) {
+	return txcore.Open("cow", heapReg, logReg, cfg, build)
 }
 
-// OpenSharded is Open with an explicit concurrency shard count (see
-// NewSharded).
-func OpenSharded(heapReg, logReg *nvm.Region, shards int) (*Engine, error) {
-	h, err := heap.Attach(heapReg)
+func build(e *txcore.Engine) (txcore.Policy, txcore.Meters) {
+	o := e.Obs()
+	m := txcore.Meters{
+		Aborts: o.Counter("aborts"),
+		Copied: o.Counter("bytes_copied_critical"),
+		Copy:   o.Phase(obs.PhaseCriticalCopy),
+		Marker: o.Phase(obs.PhaseCommitPersist),
+	}
+	return &policy{
+		e:          e,
+		copied:     m.Copied,
+		phPersist:  o.Phase(obs.PhaseIntentPersist),
+		phCopyBack: o.Phase(obs.PhaseCopyBack),
+	}, m
+}
+
+// policy is copy-on-write: Add makes a shadow in the log's data area, the
+// transaction edits it (WSEntry.Shadow routes Read and Write there), and
+// commit copies it back.
+type policy struct {
+	e          *txcore.Engine
+	copied     *obs.Counter   // bytes_copied_critical, also charged by copy-back
+	phPersist  *obs.PhaseStat // pre-marker shadow/alloc persist
+	phCopyBack *obs.PhaseStat // post-commit shadow-to-original apply
+}
+
+// Add creates the object's persistent shadow copy in the critical path.
+func (p *policy) Add(t *txcore.Tx, obj heap.ObjID, ws txcore.WSEntry) (txcore.WSEntry, error) {
+	n := heap.BlockHeaderSize + ws.Class
+	start := time.Now()
+	regionOff, dataOff, err := t.Log().ReserveData(n)
 	if err != nil {
-		return nil, err
+		return ws, err
 	}
-	l, err := intentlog.Attach(logReg)
-	if err != nil {
-		return nil, err
+	logReg := p.e.Log().Region()
+	if err := nvm.Copy(logReg, regionOff, p.e.Heap().Region(), int(obj)-heap.BlockHeaderSize, n); err != nil {
+		return ws, err
 	}
-	e := newEngine(h, l, heapReg, logReg)
-	pipe := recovery.New(e.obs, 2)
-	if err := pipe.Run(obs.PhaseRecoveryLogReplay, e.Recover); err != nil {
-		return nil, err
+	if err := logReg.Persist(regionOff, n); err != nil {
+		return ws, err
 	}
-	if err := pipe.Run(obs.PhaseRecoveryRescan, h.Rescan); err != nil {
-		return nil, err
+	if err := t.Append(intentlog.Entry{
+		Op:      intentlog.OpWrite,
+		Class:   uint32(ws.Class),
+		Obj:     uint64(obj),
+		DataOff: dataOff,
+		DataLen: uint32(n),
+	}, nil); err != nil {
+		return ws, err
 	}
-	e.recov = pipe.Report()
-	e.reshard(shards)
-	return e, nil
+	t.ChargeCopy(start, n)
+	ws.Shadow = regionOff
+	return ws, nil
 }
 
-// reshard retunes the volatile concurrency structures. Called only between
-// construction/recovery and the first transaction, while no locks are held
-// and no slots are in flight.
-func (e *Engine) reshard(n int) {
-	if n <= 0 {
-		return
-	}
-	e.locks = locktable.NewSharded(n)
-	e.heap.SetShards(n)
-	e.log.SetShards(n)
-}
-
-// Name implements engine.Engine.
-func (e *Engine) Name() string { return "cow" }
-
-// Heap implements engine.Engine.
-func (e *Engine) Heap() *heap.Heap { return e.heap }
-
-// Drain implements engine.Engine; CoW is fully synchronous.
-func (e *Engine) Drain() {}
-
-// Close implements engine.Engine.
-func (e *Engine) Close() error { return nil }
-
-// Obs implements engine.Engine.
-func (e *Engine) Obs() *obs.Registry { return e.obs }
-
-// RecoveryReport returns the stage timings of the Open that produced this
-// engine (nil for a freshly formatted engine).
-func (e *Engine) RecoveryReport() []recovery.StageReport { return e.recov }
-
-// SetTracer implements engine.Engine.
-func (e *Engine) SetTracer(t *trace.Tracer) {
-	if t != nil && !t.Enabled() {
-		t = nil
-	}
-	e.tr.Store(t)
-}
-
-func (e *Engine) trc() *trace.Tracer { return e.tr.Load() }
-
-// Stats implements engine.Engine.
-func (e *Engine) Stats() engine.Stats {
-	return engine.Stats{
-		Commits:             e.commits.Load(),
-		Aborts:              e.aborts.Load(),
-		BytesCopiedCritical: e.critCopy.Load(),
-		DependentWaits:      e.depWaits.Load(),
-	}
-}
-
-// Recover finishes committed transactions (shadow copy-back and deferred
-// frees — both idempotent) and unwinds the allocations of incomplete ones.
-// Originals are untouched until commit, so incomplete transactions need no
-// data restoration.
-func (e *Engine) Recover() error {
-	return e.log.RecoverParallel(runtime.GOMAXPROCS(0), func(v intentlog.SlotView) error {
-		switch v.State {
-		case intentlog.StateCommitted:
-			if err := e.applyShadows(v.Entries, func(dataOff uint32, n int) ([]byte, error) {
-				return v.Data(dataOff, n)
-			}); err != nil {
+// Commit makes the shadows and fresh allocations durable before the commit
+// record (recovery replays the copy-back from them), then applies the
+// shadows to the originals — the paper's "copy to original" — and the
+// deferred frees.
+func (p *policy) Commit(t *txcore.Tx) error {
+	logReg := p.e.Log().Region()
+	heapReg := p.e.Heap().Region()
+	start := time.Now()
+	for _, ws := range t.WriteSet() {
+		if ws.Shadow != 0 {
+			if err := logReg.Flush(ws.Shadow, heap.BlockHeaderSize+ws.Class); err != nil {
 				return err
 			}
-			for _, ent := range v.Entries {
-				if ent.Op == intentlog.OpFree {
-					if err := e.heap.ApplyFree(heap.ObjID(ent.Obj)); err != nil {
-						return err
-					}
-				}
-			}
-		case intentlog.StateRunning, intentlog.StateAborted:
-			for i := len(v.Entries) - 1; i >= 0; i-- {
-				ent := v.Entries[i]
-				if ent.Op == intentlog.OpAlloc {
-					if err := e.heap.RollbackAlloc(heap.ObjID(ent.Obj), int(ent.Class)); err != nil {
-						return err
-					}
-				}
+		}
+	}
+	logReg.Fence()
+	for obj, ws := range t.WriteSet() {
+		if ws.Writable && ws.Shadow == 0 { // allocated by t: edited in place
+			if err := heapReg.Flush(int(obj)-heap.BlockHeaderSize, heap.BlockHeaderSize+ws.Class); err != nil {
+				return err
 			}
 		}
-		return v.Free()
-	})
+	}
+	heapReg.Fence()
+	d := time.Since(start)
+	p.phPersist.Observe(d)
+	tr := p.e.Tracer()
+	tr.Span(string(obs.PhaseIntentPersist), t.ID(), d)
+	if err := t.MarkCommitted(); err != nil {
+		return err
+	}
+	entries, err := t.Log().Entries()
+	if err != nil {
+		return err
+	}
+	start = time.Now()
+	if err := p.applyShadows(entries, t.Log().Data); err != nil {
+		return err
+	}
+	d = time.Since(start)
+	p.phCopyBack.Observe(d)
+	tr.Span(string(obs.PhaseCopyBack), t.ID(), d)
+	for _, ws := range t.WriteSet() {
+		if ws.Shadow != 0 {
+			p.copied.Add(uint64(heap.BlockHeaderSize + ws.Class))
+		}
+	}
+	if err := t.ApplyFrees(); err != nil {
+		return err
+	}
+	return t.Finish()
+}
+
+// Abort unwinds allocations only: originals are untouched until commit.
+func (p *policy) Abort(t *txcore.Tx) error { return t.Rollback(nil) }
+
+// Recover finishes committed transactions (shadow copy-back, then deferred
+// frees — both idempotent) and unwinds the allocations of incomplete ones,
+// which need no data restoration.
+func (p *policy) Recover(v intentlog.SlotView) error {
+	var err error
+	if v.State == intentlog.StateCommitted {
+		if err = p.applyShadows(v.Entries, v.Data); err == nil {
+			err = p.e.ApplyLoggedFrees(v.Entries)
+		}
+	} else {
+		err = p.e.Rollback(nil, 0, v.Entries, nil)
+	}
+	if err != nil {
+		return err
+	}
+	return v.Free()
 }
 
 // applyShadows copies every shadow back onto its original and persists it.
-func (e *Engine) applyShadows(entries []intentlog.Entry, data func(uint32, int) ([]byte, error)) error {
-	reg := e.heap.Region()
+func (p *policy) applyShadows(entries []intentlog.Entry, data func(uint32, int) ([]byte, error)) error {
+	reg := p.e.Heap().Region()
 	for _, ent := range entries {
 		if ent.Op != intentlog.OpWrite {
 			continue
@@ -220,353 +180,5 @@ func (e *Engine) applyShadows(entries []intentlog.Entry, data func(uint32, int) 
 		}
 	}
 	reg.Fence()
-	return nil
-}
-
-// Begin implements engine.Engine.
-func (e *Engine) Begin() (engine.Tx, error) {
-	if err := e.heap.TouchEpoch(); err != nil {
-		return nil, err
-	}
-	tl, err := e.log.Begin()
-	if err != nil {
-		return nil, err
-	}
-	e.trc().TxBegin(tl.TxID())
-	return &tx{e: e, tl: tl, shadows: make(map[heap.ObjID]shadow), allocs: make(map[heap.ObjID]bool)}, nil
-}
-
-// shadow locates an object's editable copy in the log's data area.
-type shadow struct {
-	regionOff int // offset of the block copy in the log region
-	dataOff   uint32
-	blockLen  int
-}
-
-type tx struct {
-	e       *Engine
-	tl      *intentlog.TxLog
-	done    bool
-	shadows map[heap.ObjID]shadow
-	allocs  map[heap.ObjID]bool
-	reads   []heap.ObjID
-	frees   []heap.ObjID
-}
-
-func (t *tx) ID() uint64             { return t.tl.TxID() }
-func (t *tx) owner() locktable.Owner { return locktable.Owner(t.tl.TxID()) }
-
-func (t *tx) inWriteSet(obj heap.ObjID) bool {
-	if _, ok := t.shadows[obj]; ok {
-		return true
-	}
-	return t.allocs[obj]
-}
-
-// lockObj acquires obj's write lock, attributing any blocking to the
-// dependent-stall phase.
-func (t *tx) lockObj(obj heap.ObjID) {
-	if t.e.locks.TryLock(uint64(obj), t.owner()) {
-		t.e.trc().LockAcquire(t.ID(), uint64(obj))
-		return
-	}
-	t.e.depWaits.Add(1)
-	stallStart := time.Now()
-	t.e.locks.Lock(uint64(obj), t.owner())
-	d := time.Since(stallStart)
-	t.e.phStall.Observe(d)
-	if tr := t.e.trc(); tr != nil {
-		tr.LockAcquire(t.ID(), uint64(obj))
-		tr.Span(string(obs.PhaseDependentStall), t.ID(), d)
-	}
-}
-
-// traceAppend emits the intent event for the entry just appended.
-func (t *tx) traceAppend(obj heap.ObjID, op intentlog.Op) {
-	if tr := t.e.trc(); tr != nil {
-		off, n := t.tl.EntryRange(t.tl.Len() - 1)
-		tr.IntentAppend(t.ID(), uint64(obj), off, n, op.String())
-	}
-}
-
-// Add creates the object's persistent shadow copy in the critical path.
-func (t *tx) Add(obj heap.ObjID) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	locked := false
-	if sh, ok := t.shadows[obj]; ok {
-		if sh.blockLen >= 0 {
-			return nil
-		}
-		// Lock-only marker from a prior Free: upgrade to a real
-		// shadow without re-locking.
-		locked = true
-	} else if t.allocs[obj] {
-		return nil
-	}
-	if !locked {
-		t.lockObj(obj)
-	}
-	fail := func(err error) error {
-		if !locked {
-			t.e.locks.Unlock(uint64(obj), t.owner())
-		}
-		return err
-	}
-	// Header reads only under the object lock: a committer's copy-back
-	// rewrites the whole block, header included.
-	cls, err := t.e.heap.ClassOf(obj)
-	if err != nil {
-		return fail(err)
-	}
-	blockOff, blockLen, err := t.e.heap.Range(obj)
-	if err != nil {
-		return fail(err)
-	}
-	copyStart := time.Now()
-	regionOff, dataOff, err := t.tl.ReserveData(blockLen)
-	if err != nil {
-		return fail(err)
-	}
-	logReg := t.e.log.Region()
-	if err := nvm.Copy(logReg, regionOff, t.e.heap.Region(), blockOff, blockLen); err != nil {
-		return fail(err)
-	}
-	if err := logReg.Persist(regionOff, blockLen); err != nil {
-		return fail(err)
-	}
-	if err := t.tl.Append(intentlog.Entry{
-		Op:      intentlog.OpWrite,
-		Class:   uint32(cls),
-		Obj:     uint64(obj),
-		DataOff: dataOff,
-		DataLen: uint32(blockLen),
-	}); err != nil {
-		return fail(err)
-	}
-	d := time.Since(copyStart)
-	t.e.phCritCopy.Observe(d)
-	t.e.critCopy.Add(uint64(blockLen))
-	t.traceAppend(obj, intentlog.OpWrite)
-	t.e.trc().Span(string(obs.PhaseCriticalCopy), t.ID(), d)
-	t.shadows[obj] = shadow{regionOff: regionOff, dataOff: dataOff, blockLen: blockLen}
-	return nil
-}
-
-// Write edits the shadow, not the original. Objects allocated by this
-// transaction are written directly: they are invisible until commit and an
-// abort unwinds the whole allocation.
-func (t *tx) Write(obj heap.ObjID, off int, data []byte) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	if t.allocs[obj] {
-		if err := t.e.heap.Write(obj, off, data); err != nil {
-			return err
-		}
-		t.e.trc().InPlaceWrite(t.ID(), uint64(obj), int(obj)+off, len(data))
-		return nil
-	}
-	sh, ok := t.shadows[obj]
-	if !ok {
-		return fmt.Errorf("%w: %d", engine.ErrNotInTx, obj)
-	}
-	cls := sh.blockLen - heap.BlockHeaderSize
-	if off < 0 || off+len(data) > cls {
-		return fmt.Errorf("%w: write [%d,%d) in object of %d bytes",
-			heap.ErrOutOfObject, off, off+len(data), cls)
-	}
-	return t.e.log.Region().Write(sh.regionOff+heap.BlockHeaderSize+off, data)
-}
-
-// Read returns the transaction's view: the shadow if obj is in the write
-// set, else the original under a read lock.
-func (t *tx) Read(obj heap.ObjID) ([]byte, error) {
-	if t.done {
-		return nil, engine.ErrTxDone
-	}
-	if sh, ok := t.shadows[obj]; ok && sh.blockLen >= 0 {
-		return t.e.log.Region().ReadSlice(sh.regionOff+heap.BlockHeaderSize, sh.blockLen-heap.BlockHeaderSize)
-	} else if !ok && !t.allocs[obj] {
-		t.e.locks.RLock(uint64(obj), t.owner())
-		t.reads = append(t.reads, obj)
-	}
-	return t.e.heap.Bytes(obj)
-}
-
-func (t *tx) Alloc(size int) (heap.ObjID, error) {
-	if t.done {
-		return heap.Nil, engine.ErrTxDone
-	}
-	obj, err := t.e.heap.Reserve(size)
-	if err != nil {
-		return heap.Nil, err
-	}
-	cls, err := t.e.heap.ClassOf(obj)
-	if err != nil {
-		return heap.Nil, err
-	}
-	if err := t.tl.Append(intentlog.Entry{
-		Op:    intentlog.OpAlloc,
-		Class: uint32(cls),
-		Obj:   uint64(obj),
-	}); err != nil {
-		relErr := t.e.heap.ReleaseReservation(obj)
-		if relErr != nil {
-			return heap.Nil, fmt.Errorf("%w (and release failed: %v)", err, relErr)
-		}
-		return heap.Nil, err
-	}
-	t.traceAppend(obj, intentlog.OpAlloc)
-	if err := t.e.heap.CommitAlloc(obj); err != nil {
-		return heap.Nil, err
-	}
-	t.e.locks.Lock(uint64(obj), t.owner())
-	t.e.trc().LockAcquire(t.ID(), uint64(obj))
-	t.allocs[obj] = true
-	return obj, nil
-}
-
-func (t *tx) Free(obj heap.ObjID) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	if !t.inWriteSet(obj) {
-		// Lock without shadowing: the free only takes effect at
-		// commit, and the original is never edited.
-		t.lockObj(obj)
-		t.shadows[obj] = shadow{blockLen: -1} // lock-only marker
-	}
-	cls, err := t.e.heap.ClassOf(obj)
-	if err != nil {
-		return err
-	}
-	if err := t.tl.Append(intentlog.Entry{
-		Op:    intentlog.OpFree,
-		Class: uint32(cls),
-		Obj:   uint64(obj),
-	}); err != nil {
-		return err
-	}
-	t.traceAppend(obj, intentlog.OpFree)
-	t.frees = append(t.frees, obj)
-	return nil
-}
-
-func (t *tx) finish() {
-	// Reads release before writes: an upgraded object's read holds are
-	// absorbed by its write lock and must not outlive it.
-	for _, obj := range t.reads {
-		t.e.locks.RUnlock(uint64(obj), t.owner())
-	}
-	for obj := range t.shadows {
-		t.e.locks.Unlock(uint64(obj), t.owner())
-	}
-	for obj := range t.allocs {
-		t.e.locks.Unlock(uint64(obj), t.owner())
-	}
-	t.done = true
-}
-
-func (t *tx) Commit() error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	logReg := t.e.log.Region()
-	heapReg := t.e.heap.Region()
-	// Make the shadows and fresh allocations durable before the commit
-	// record; recovery replays the copy-back from them.
-	start := time.Now()
-	for _, sh := range t.shadows {
-		if sh.blockLen < 0 {
-			continue
-		}
-		if err := logReg.Flush(sh.regionOff, sh.blockLen); err != nil {
-			return err
-		}
-	}
-	logReg.Fence()
-	for obj := range t.allocs {
-		off, n, err := t.e.heap.Range(obj)
-		if err != nil {
-			return err
-		}
-		if err := heapReg.Flush(off, n); err != nil {
-			return err
-		}
-	}
-	heapReg.Fence()
-	d := time.Since(start)
-	t.e.phIntent.Observe(d)
-	tr := t.e.trc()
-	tr.Span(string(obs.PhaseIntentPersist), t.ID(), d)
-	start = time.Now()
-	if err := t.tl.SetState(intentlog.StateCommitted); err != nil {
-		return err
-	}
-	d = time.Since(start)
-	t.e.phMarker.Observe(d)
-	if tr != nil {
-		tr.CommitMarker(t.ID())
-		tr.Span(string(obs.PhaseCommitPersist), t.ID(), d)
-	}
-	// Apply the shadows to the originals (the paper's "copy to
-	// original"), then the deferred frees.
-	entries, err := t.tl.Entries()
-	if err != nil {
-		return err
-	}
-	start = time.Now()
-	if err := t.e.applyShadows(entries, func(dataOff uint32, n int) ([]byte, error) {
-		return t.tl.Data(dataOff, n)
-	}); err != nil {
-		return err
-	}
-	d = time.Since(start)
-	t.e.phCopyBack.Observe(d)
-	tr.Span(string(obs.PhaseCopyBack), t.ID(), d)
-	for _, sh := range t.shadows {
-		if sh.blockLen > 0 {
-			t.e.critCopy.Add(uint64(sh.blockLen))
-		}
-	}
-	for _, obj := range t.frees {
-		if err := t.e.heap.ApplyFree(obj); err != nil {
-			return err
-		}
-	}
-	if err := t.tl.Release(); err != nil {
-		return err
-	}
-	t.finish()
-	t.e.commits.Add(1)
-	return nil
-}
-
-func (t *tx) Abort() error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	if err := t.tl.SetState(intentlog.StateAborted); err != nil {
-		return err
-	}
-	tr := t.e.trc()
-	for obj := range t.allocs {
-		cls, err := t.e.heap.ClassOf(obj)
-		if err != nil {
-			return err
-		}
-		if err := t.e.heap.RollbackAlloc(obj, cls); err != nil {
-			return err
-		}
-		tr.Rollback(t.ID(), uint64(obj))
-	}
-	if err := t.tl.Release(); err != nil {
-		return err
-	}
-	t.finish()
-	t.e.aborts.Add(1)
-	tr.Abort(t.ID())
 	return nil
 }

@@ -25,7 +25,7 @@ func TestConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := cow.New(heapReg, logReg, logCfg)
+			e, err := cow.New(heapReg, logReg, cow.Config{Log: logCfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +37,7 @@ func TestConformance(t *testing.T) {
 				if err := logReg.Crash(); err != nil {
 					return nil, err
 				}
-				return cow.Open(heapReg, logReg)
+				return cow.Open(heapReg, logReg, cow.Config{})
 			}
 			return inst
 		},
@@ -48,7 +48,7 @@ func TestConformance(t *testing.T) {
 func TestOriginalUntouchedBeforeCommit(t *testing.T) {
 	heapReg, _ := nvm.New(1<<20, nvm.Options{Mode: nvm.ModeStrict})
 	logReg, _ := nvm.New(logCfg.RegionSize(), nvm.Options{Mode: nvm.ModeStrict})
-	e, err := cow.New(heapReg, logReg, logCfg)
+	e, err := cow.New(heapReg, logReg, cow.Config{Log: logCfg})
 	if err != nil {
 		t.Fatal(err)
 	}

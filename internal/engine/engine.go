@@ -1,10 +1,12 @@
 // Package engine defines the transaction-engine contract shared by
 // Kamino-Tx and the baseline atomicity mechanisms it is evaluated against
-// (undo logging as in Intel NVML, copy-on-write, and an unsafe no-logging
-// mode). The public kamino package selects an engine; persistent data
-// structures and benchmarks are written once against these interfaces so
-// every comparison in the paper runs identical application code on all
-// mechanisms.
+// (undo logging as in Intel NVML, copy-on-write, the in-place chain
+// replica, and an unsafe no-logging mode). The public kamino package
+// selects an engine; persistent data structures and benchmarks are written
+// once against these interfaces so every comparison in the paper runs
+// identical application code on all mechanisms. The engines share one
+// implementation of the transaction protocol, internal/engine/txcore, and
+// differ only in their persist policy.
 package engine
 
 import (
@@ -12,6 +14,7 @@ import (
 
 	"kaminotx/internal/heap"
 	"kaminotx/internal/obs"
+	"kaminotx/internal/recovery"
 	"kaminotx/internal/trace"
 )
 
@@ -63,7 +66,8 @@ type Tx interface {
 
 // Engine manages a persistent heap with one atomicity mechanism.
 type Engine interface {
-	// Name identifies the mechanism ("kamino", "undo", "cow", "nolog").
+	// Name identifies the mechanism ("kamino", "kamino-dynamic", "undo",
+	// "cow", "nolog", "inplace").
 	Name() string
 
 	// Begin starts a transaction.
@@ -83,7 +87,8 @@ type Engine interface {
 	// backup sync) has completed. No-op for synchronous engines.
 	Drain()
 
-	// Close drains and shuts down the engine.
+	// Close drains and shuts down the engine; later commits fail with
+	// ErrClosed.
 	Close() error
 
 	// Stats returns cumulative counters.
@@ -101,6 +106,10 @@ type Engine interface {
 	// with no tracer attached the hot path pays at most one atomic/nil
 	// pointer check per would-be event.
 	SetTracer(*trace.Tracer)
+
+	// RecoveryReport returns the stage timings of the Open that produced
+	// the engine (nil for a freshly formatted one).
+	RecoveryReport() []recovery.StageReport
 }
 
 // Stats counts engine-level events. All counters are cumulative.
@@ -132,6 +141,7 @@ type Stats struct {
 // Common engine errors.
 var (
 	ErrTxDone     = errors.New("engine: transaction already committed or aborted")
+	ErrClosed     = errors.New("engine: closed")
 	ErrNotInTx    = errors.New("engine: object is not in the transaction's write set")
 	ErrBackupFull = errors.New("engine: dynamic backup region cannot hold the working set")
 )

@@ -18,9 +18,8 @@ import (
 // events slipped through under parallelism; for intent-logging engines it
 // means every in-place store was preceded by an intent entry.
 //
-// RunConcurrency is exported separately from Run so engines that cannot
-// abort (the in-place chain-replica baseline) can still run the parallel
-// parts of the contract.
+// RunConcurrency runs just the parallel half of the contract; Run
+// includes it.
 func RunConcurrency(t *testing.T, f Factory) {
 	t.Run("ParallelDisjoint", func(t *testing.T) { testParallelDisjoint(t, f) })
 	if f.Atomic && f.New(t).Crash != nil {

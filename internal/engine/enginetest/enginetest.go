@@ -1,18 +1,20 @@
 // Package enginetest is a conformance suite run against every transaction
-// engine (kamino simple/dynamic, undo, cow, nolog). The same behavioural
-// contract — visibility, isolation, atomicity under abort and under crash —
-// is what lets the paper's benchmarks compare mechanisms on identical
-// application code.
+// engine (kamino simple/dynamic, undo, cow, nolog, inplace). The same
+// behavioural contract — visibility, isolation, atomicity under abort and
+// under crash — is what lets the paper's benchmarks compare mechanisms on
+// identical application code.
 package enginetest
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"kaminotx/internal/engine"
 	"kaminotx/internal/heap"
+	"kaminotx/internal/trace"
 )
 
 // Instance is one engine under test plus its crash-restart hook.
@@ -34,8 +36,8 @@ type Instance struct {
 // Factory creates fresh engine instances for the suite.
 type Factory struct {
 	Name string
-	// Atomic is false for the nolog baseline: abort/crash tests that
-	// require rollback are skipped.
+	// Atomic is false for the nolog and inplace baselines: abort/crash
+	// tests that require rollback are skipped.
 	Atomic bool
 	New    func(t *testing.T) *Instance
 }
@@ -49,6 +51,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("AllocCommit", func(t *testing.T) { testAllocCommit(t, f) })
 	t.Run("FreeCommitReusesBlock", func(t *testing.T) { testFreeCommit(t, f) })
 	t.Run("Isolation", func(t *testing.T) { testIsolation(t, f) })
+	t.Run("ReadOnlyLeavesNoTrace", func(t *testing.T) { testReadOnlyLeavesNoTrace(t, f) })
 	if f.Atomic {
 		t.Run("AbortRestores", func(t *testing.T) { testAbortRestores(t, f) })
 		t.Run("AbortUnwindsAlloc", func(t *testing.T) { testAbortUnwindsAlloc(t, f) })
@@ -235,6 +238,67 @@ func testFreeCommit(t *testing.T, f Factory) {
 	obj2 := mustAlloc(t, inst.Engine, make([]byte, 64))
 	if obj2 != obj {
 		t.Errorf("freed block not reused: got %d, want %d", obj2, obj)
+	}
+}
+
+// persistCounters returns the engine's NVM flush and fence gauges
+// (nvm.<region>.fences and nvm.<region>.lines_flushed, every region).
+func persistCounters(e engine.Engine) map[string]uint64 {
+	out := map[string]uint64{}
+	for name, v := range e.Obs().Snapshot().Gauges {
+		if strings.HasPrefix(name, "nvm.") &&
+			(strings.HasSuffix(name, ".fences") || strings.HasSuffix(name, ".lines_flushed")) {
+			out[name] = v
+		}
+	}
+	return out
+}
+
+// testReadOnlyLeavesNoTrace checks the read-only path every engine shares:
+// a transaction with an empty write set, finished by Commit or by Abort,
+// records no trace event, flushes and fences nothing, and is not counted
+// as an abort.
+func testReadOnlyLeavesNoTrace(t *testing.T, f Factory) {
+	inst := f.New(t)
+	defer inst.Engine.Close()
+	e := inst.Engine
+	obj := mustAlloc(t, e, []byte("read me"))
+	e.Drain()
+
+	rec := trace.NewRecorder(1 << 10)
+	e.SetTracer(rec.Tracer(e.Name() + "#ro"))
+	before, aborts := persistCounters(e), e.Stats().Aborts
+	if len(before) == 0 {
+		t.Fatal("engine exports no nvm fence/flush gauges")
+	}
+	for _, end := range []string{"Commit", "Abort"} {
+		tx, err := e.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err := tx.Read(obj); err != nil || string(b[:7]) != "read me" {
+			t.Fatalf("Read = %q, %v", b, err)
+		}
+		if end == "Commit" {
+			err = tx.Commit()
+		} else {
+			err = tx.Abort()
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", end, err)
+		}
+	}
+	e.Drain()
+	if evs := rec.Events(); len(evs) != 0 {
+		t.Errorf("read-only transactions recorded %d trace events, first %v", len(evs), evs[0].Kind)
+	}
+	for name, v := range persistCounters(e) {
+		if v != before[name] {
+			t.Errorf("%s moved %d -> %d across read-only transactions", name, before[name], v)
+		}
+	}
+	if got := e.Stats().Aborts; got != aborts {
+		t.Errorf("read-only Abort counted as an abort: %d -> %d", aborts, got)
 	}
 }
 

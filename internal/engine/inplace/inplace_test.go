@@ -25,7 +25,7 @@ func newEngine(t *testing.T) (*inplace.Engine, *nvm.Region, *nvm.Region) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := inplace.New(heapReg, logReg, logCfg)
+	e, err := inplace.New(heapReg, logReg, inplace.Config{Log: logCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCommitAndReopen(t *testing.T) {
 	if err := logReg.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := inplace.Open(heapReg, logReg)
+	e2, err := inplace.Open(heapReg, logReg, inplace.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +70,12 @@ func TestCommitAndReopen(t *testing.T) {
 	}
 }
 
-// The in-place engine cannot abort, so it runs only the concurrency half
-// of the conformance suite: parallel disjoint-key transactions with the
-// trace audited for store-without-intent violations. (CrashMidBurst needs
-// rollback, which in-place delegates to neighbour replicas.)
-func TestConcurrencyConformance(t *testing.T) {
-	enginetest.RunConcurrency(t, enginetest.Factory{
+// The in-place engine cannot roll back a write, so it runs the suite as a
+// non-atomic engine: the only abort left is a read-only one, which it
+// supports. (The crash cases need rollback, which in-place delegates to
+// neighbour replicas.)
+func TestConformance(t *testing.T) {
+	enginetest.Run(t, enginetest.Factory{
 		Name:   "inplace",
 		Atomic: false,
 		New: func(t *testing.T) *enginetest.Instance {
@@ -141,7 +141,7 @@ func TestPendingRecoveryResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2, err := inplace.Open(heapReg, logReg)
+	e2, err := inplace.Open(heapReg, logReg, inplace.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

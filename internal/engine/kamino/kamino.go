@@ -24,13 +24,13 @@ import (
 	"time"
 
 	"kaminotx/internal/engine"
+	"kaminotx/internal/engine/txcore"
 	"kaminotx/internal/heap"
 	"kaminotx/internal/intentlog"
 	"kaminotx/internal/locktable"
 	"kaminotx/internal/nvm"
 	"kaminotx/internal/obs"
 	"kaminotx/internal/recovery"
-	"kaminotx/internal/trace"
 )
 
 // Config tunes the engine.
@@ -95,42 +95,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+func (c Config) core() txcore.Config { return txcore.Config{Log: c.Log, Shards: c.Shards} }
+
 // Engine is the Kamino-Tx transaction engine (the paper's Transaction
 // Coordinator plus Log Manager plus backup maintenance).
 type Engine struct {
-	heap    *heap.Heap
-	log     *intentlog.Log
-	locks   *locktable.Table
+	*txcore.Engine
 	backend backend
-	dynamic bool
-	obs     *obs.Registry
 
 	applyChs []chan applyReq // one queue per applier worker
 	commitCh chan commitReq  // nil unless Config.GroupCommit
 	wg       sync.WaitGroup  // applier + committer goroutines
 	inFlt    sync.WaitGroup  // outstanding post-commit syncs
 	pending  atomic.Int64    // committed txs whose backup sync hasn't finished
-	closed   atomic.Bool
 
 	applyErr atomic.Value // error
 
-	// tr, when attached, receives transaction lifecycle trace events.
-	// Atomic because the applier goroutines read it concurrently with
-	// SetTracer; nil when tracing is off (one atomic load per event).
-	tr atomic.Pointer[trace.Tracer]
-
-	recov []recovery.StageReport // stage timings of the Open that built us
-
-	commits    *obs.Counter
-	aborts     *obs.Counter
-	depWaits   *obs.Counter
 	grpEpochs  *obs.Counter // group-commit fence epochs issued
 	grpCommits *obs.Counter // transactions committed through group commit
 
-	phStall   *obs.PhaseStat // dependent-lock acquisition time
-	phIntent  *obs.PhaseStat // intent-log append persist
-	phHeap    *obs.PhaseStat // in-place heap flush+fence at commit
-	phMarker  *obs.PhaseStat // commit-marker persist
 	phGrpWait *obs.PhaseStat // commit-marker wait under group commit
 	phSync    *obs.PhaseStat // applier backup roll-forward work
 	phLag     *obs.PhaseStat // commit → locks-released lag
@@ -162,33 +145,23 @@ type lockedObj struct {
 // paper's α.
 func New(mainReg, backupReg, logReg *nvm.Region, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	h, err := heap.Format(mainReg)
-	if err != nil {
-		return nil, err
-	}
-	l, err := intentlog.Format(logReg, cfg.Log)
-	if err != nil {
-		return nil, err
-	}
-	h.SetShards(cfg.Shards)
-	l.SetShards(cfg.Shards)
-	locks := locktable.NewSharded(cfg.Shards)
 	dynamic := backupReg.Size() < mainReg.Size()
-	o := newRegistry(dynamic, mainReg, backupReg, logReg)
+	c, err := txcore.Format(engineName(dynamic), mainReg, logReg, cfg.core())
+	if err != nil {
+		return nil, err
+	}
+	backupReg.ExportObs(c.Obs(), "nvm.backup")
 	var be backend
 	if dynamic {
 		bh, err := heap.Format(backupReg)
 		if err != nil {
 			return nil, err
 		}
-		be = newDynamicBackend(mainReg, bh, locks, o)
-	} else {
-		be, err = newSimpleBackend(mainReg, backupReg, o)
-		if err != nil {
-			return nil, err
-		}
+		be = newDynamicBackend(mainReg, bh, c.Locks(), c.Obs())
+	} else if be, err = newSimpleBackend(mainReg, backupReg, c.Obs()); err != nil {
+		return nil, err
 	}
-	e := newEngine(h, l, locks, be, dynamic, o)
+	e := newEngine(c, be)
 	e.start(cfg)
 	return e, nil
 }
@@ -209,19 +182,13 @@ func New(mainReg, backupReg, logReg *nvm.Region, cfg Config) (*Engine, error) {
 // directory's cut points.
 func Open(mainReg, backupReg, logReg *nvm.Region, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	h, err := heap.Attach(mainReg)
-	if err != nil {
-		return nil, err
-	}
-	l, err := intentlog.Attach(logReg)
-	if err != nil {
-		return nil, err
-	}
-	h.SetShards(cfg.Shards)
-	l.SetShards(cfg.Shards)
-	locks := locktable.NewSharded(cfg.Shards)
 	dynamic := backupReg.Size() < mainReg.Size()
-	o := newRegistry(dynamic, mainReg, backupReg, logReg)
+	c, err := txcore.Attach(engineName(dynamic), mainReg, logReg, cfg.core())
+	if err != nil {
+		return nil, err
+	}
+	o := c.Obs()
+	backupReg.ExportObs(o, "nvm.backup")
 	pipe := recovery.New(o, 3)
 
 	var be backend
@@ -238,8 +205,8 @@ func Open(mainReg, backupReg, logReg *nvm.Region, cfg Config) (*Engine, error) {
 		if err := bh.Rescan(); err != nil {
 			return err
 		}
-		db := newDynamicBackend(mainReg, bh, locks, o)
-		if snap := cfg.BackupIndex; snap != nil && snap.Epoch == h.Epoch() {
+		db := newDynamicBackend(mainReg, bh, c.Locks(), o)
+		if snap := cfg.BackupIndex; snap != nil && snap.Epoch == c.Heap().Epoch() {
 			if err := db.restoreSnapshot(snap.Data); err == nil {
 				o.Counter("recovery_index_warm").Inc()
 				be = db
@@ -259,21 +226,13 @@ func Open(mainReg, backupReg, logReg *nvm.Region, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 
-	e := newEngine(h, l, locks, be, dynamic, o)
-	if err := pipe.Run(obs.PhaseRecoveryLogReplay, e.Recover); err != nil {
+	e := newEngine(c, be)
+	if err := c.Replay(pipe); err != nil {
 		return nil, err
 	}
-	if err := pipe.Run(obs.PhaseRecoveryRescan, h.Rescan); err != nil {
-		return nil, err
-	}
-	e.recov = pipe.Report()
 	e.start(cfg)
 	return e, nil
 }
-
-// RecoveryReport returns the stage timings of the Open that produced this
-// engine (nil for a freshly formatted engine).
-func (e *Engine) RecoveryReport() []recovery.StageReport { return e.recov }
 
 // EncodeBackupIndex serializes the dynamic backend's lookup table for the
 // pool's index checkpoint; ok is false for the simple (full-mirror)
@@ -288,51 +247,46 @@ func (e *Engine) EncodeBackupIndex() (data []byte, ok bool) {
 	return db.encodeSnapshot(), true
 }
 
-// newRegistry builds the engine's observability registry with the NVM
-// regions' device counters exported as gauges.
-func newRegistry(dynamic bool, mainReg, backupReg, logReg *nvm.Region) *obs.Registry {
-	name := "kamino"
+func engineName(dynamic bool) string {
 	if dynamic {
-		name = "kamino-dynamic"
+		return "kamino-dynamic"
 	}
-	o := obs.New(name)
-	mainReg.ExportObs(o, "nvm.main")
-	backupReg.ExportObs(o, "nvm.backup")
-	logReg.ExportObs(o, "nvm.log")
-	return o
+	return "kamino"
 }
 
-// newEngine wires the registry-backed counters and phase timers; the hot
-// path touches only the cached pointers.
-func newEngine(h *heap.Heap, l *intentlog.Log, locks *locktable.Table, be backend, dynamic bool, o *obs.Registry) *Engine {
-	return &Engine{
-		heap: h, log: l, locks: locks, backend: be, dynamic: dynamic, obs: o,
-		commits:    o.Counter("commits"),
-		aborts:     o.Counter("aborts"),
-		depWaits:   o.Counter("dependent_waits"),
+// newEngine installs the Kamino-Tx policy on the core and wires the
+// registry-backed counters and phase timers; the hot path touches only the
+// cached pointers.
+func newEngine(c *txcore.Engine, be backend) *Engine {
+	o := c.Obs()
+	e := &Engine{
+		Engine: c, backend: be,
 		grpEpochs:  o.Counter("group_commit_epochs"),
 		grpCommits: o.Counter("group_committed_txs"),
-		phStall:    o.Phase(obs.PhaseDependentStall),
-		phIntent:   o.Phase(obs.PhaseIntentPersist),
-		phHeap:     o.Phase(obs.PhaseHeapPersist),
-		phMarker:   o.Phase(obs.PhaseCommitPersist),
 		phGrpWait:  o.Phase(obs.PhaseGroupCommitWait),
 		phSync:     o.Phase(obs.PhaseBackupSync),
 		phLag:      o.Phase(obs.PhaseBackupLag),
 	}
+	c.Install(policy{e}, txcore.Meters{
+		Aborts: o.Counter("aborts"),
+		Intent: o.Phase(obs.PhaseIntentPersist),
+		Heap:   o.Phase(obs.PhaseHeapPersist),
+		Marker: o.Phase(obs.PhaseCommitPersist),
+	})
+	return e
 }
 
 func (e *Engine) start(cfg Config) {
 	e.applyChs = make([]chan applyReq, cfg.ApplierWorkers)
 	for i := range e.applyChs {
-		e.applyChs[i] = make(chan applyReq, e.log.Config().Slots)
+		e.applyChs[i] = make(chan applyReq, e.Log().Config().Slots)
 	}
 	// Live lag gauges: how much committed work the backup appliers still
 	// owe. queue_depth counts requests parked across all worker queues
 	// (with a per-worker breakdown when there is more than one);
 	// pending_txs additionally includes the ones workers are currently
 	// rolling forward.
-	e.obs.Gauge("backup_queue_depth", func() uint64 {
+	e.Obs().Gauge("backup_queue_depth", func() uint64 {
 		var n uint64
 		for _, ch := range e.applyChs {
 			n += uint64(len(ch))
@@ -342,12 +296,12 @@ func (e *Engine) start(cfg Config) {
 	if len(e.applyChs) > 1 {
 		for i := range e.applyChs {
 			ch := e.applyChs[i]
-			e.obs.Gauge(fmt.Sprintf("backup_queue_depth.%d", i), func() uint64 {
+			e.Obs().Gauge(fmt.Sprintf("backup_queue_depth.%d", i), func() uint64 {
 				return uint64(len(ch))
 			})
 		}
 	}
-	e.obs.Gauge("backup_pending_txs", func() uint64 {
+	e.Obs().Gauge("backup_pending_txs", func() uint64 {
 		if n := e.pending.Load(); n > 0 {
 			return uint64(n)
 		}
@@ -358,7 +312,7 @@ func (e *Engine) start(cfg Config) {
 		go e.applier(e.applyChs[i])
 	}
 	if cfg.GroupCommit {
-		e.commitCh = make(chan commitReq, e.log.Config().Slots)
+		e.commitCh = make(chan commitReq, e.Log().Config().Slots)
 		e.wg.Add(1)
 		go e.committer()
 	}
@@ -396,7 +350,7 @@ func (e *Engine) committer() {
 		for _, p := range pending {
 			tls = append(tls, p.tl)
 		}
-		err := e.log.SetStateBatch(tls, intentlog.StateCommitted)
+		err := e.Log().SetStateBatch(tls, intentlog.StateCommitted)
 		e.grpEpochs.Add(1)
 		e.grpCommits.Add(uint64(len(pending)))
 		for _, p := range pending {
@@ -485,7 +439,7 @@ func (e *Engine) routeApply(objs []lockedObj) chan applyReq {
 }
 
 func (e *Engine) applyOne(req applyReq) error {
-	tr := e.trc()
+	tr := e.Tracer()
 	txid := req.tl.TxID()
 	start := time.Now()
 	for _, lo := range req.objs {
@@ -503,7 +457,7 @@ func (e *Engine) applyOne(req applyReq) error {
 	// Backup now matches main for the whole write-set: dependent
 	// transactions may proceed.
 	for _, lo := range req.objs {
-		e.locks.Unlock(uint64(lo.obj), req.owner)
+		e.Locks().Unlock(uint64(lo.obj), req.owner)
 	}
 	// The lag from commit to here is the window a dependent transaction
 	// on this write-set would have stalled.
@@ -513,53 +467,13 @@ func (e *Engine) applyOne(req applyReq) error {
 	return nil
 }
 
-// Name implements engine.Engine.
-func (e *Engine) Name() string {
-	if e.dynamic {
-		return "kamino-dynamic"
-	}
-	return "kamino"
-}
-
-// Heap implements engine.Engine.
-func (e *Engine) Heap() *heap.Heap { return e.heap }
-
-// Obs implements engine.Engine.
-func (e *Engine) Obs() *obs.Registry { return e.obs }
-
-// SetTracer implements engine.Engine: attaches (or detaches, with nil)
-// a lifecycle-event tracer. Safe to call while transactions run.
-func (e *Engine) SetTracer(t *trace.Tracer) {
-	if t != nil && !t.Enabled() {
-		t = nil
-	}
-	e.tr.Store(t)
-}
-
-func (e *Engine) trc() *trace.Tracer { return e.tr.Load() }
-
-// timedAppend persists one intent-log entry and charges it to the
-// intent-persist phase.
-func (e *Engine) timedAppend(tl *intentlog.TxLog, ent intentlog.Entry) error {
-	start := time.Now()
-	err := tl.Append(ent)
-	d := time.Since(start)
-	e.phIntent.Observe(d)
-	if t := e.trc(); t != nil && err == nil {
-		off, n := tl.EntryRange(tl.Len() - 1)
-		t.IntentAppend(tl.TxID(), ent.Obj, off, n, ent.Op.String())
-		t.Span(string(obs.PhaseIntentPersist), tl.TxID(), d)
-	}
-	return err
-}
-
 // Drain implements engine.Engine: blocks until every committed
 // transaction's backup sync has completed.
 func (e *Engine) Drain() { e.inFlt.Wait() }
 
 // Close implements engine.Engine.
 func (e *Engine) Close() error {
-	if e.closed.Swap(true) {
+	if e.Shut() {
 		return nil
 	}
 	e.inFlt.Wait()
@@ -582,12 +496,8 @@ func (e *Engine) err() error {
 
 // Stats implements engine.Engine.
 func (e *Engine) Stats() engine.Stats {
-	s := engine.Stats{
-		Commits:          e.commits.Load(),
-		Aborts:           e.aborts.Load(),
-		BytesCopiedAsync: e.backend.bytesSynced(),
-		DependentWaits:   e.depWaits.Load(),
-	}
+	s := e.Engine.Stats()
+	s.BytesCopiedAsync = e.backend.bytesSynced()
 	if db, ok := e.backend.(*dynamicBackend); ok {
 		s.BackupMisses = db.misses.Load()
 		s.BackupEvictions = db.evictions.Load()
@@ -597,415 +507,110 @@ func (e *Engine) Stats() engine.Stats {
 	return s
 }
 
-// Recover implements the paper's recovery procedure: committed transactions
-// are rolled forward into the backup (after re-applying their deferred
-// frees); running or aborted transactions are rolled back from the backup.
-// Incomplete transactions are treated the same as aborted ones.
+// Begin implements engine.Engine; it refuses once an applier has failed.
+func (e *Engine) Begin() (engine.Tx, error) {
+	if err := e.err(); err != nil {
+		return nil, fmt.Errorf("kamino: engine failed: %w", err)
+	}
+	return e.Engine.Begin()
+}
+
+// restore copies obj's backup over its main-heap block: the rollback step
+// of aborts and crash recovery, the only moment Kamino-Tx copies data
+// synchronously for a non-dependent workload.
+func (e *Engine) restore(ent intentlog.Entry) error {
+	return e.backend.restoreFromBackup(heap.ObjID(ent.Obj), int(ent.Class))
+}
+
+// policy is Kamino-Tx: the old copy lives in the backup, is made (if the
+// dynamic backend lacks it) before the first in-place write, and is
+// reconciled by the applier after commit — which also releases the write
+// locks, so dependent transactions wait exactly for that.
+type policy struct{ e *Engine }
+
+// Add makes sure a consistent backup copy exists — backup-exists-before-
+// modify (paper §3); the dynamic backend may create it on demand — and
+// durably logs the object address. No data is copied otherwise.
+func (p policy) Add(t *txcore.Tx, obj heap.ObjID, ws txcore.WSEntry) (txcore.WSEntry, error) {
+	copied, err := p.e.backend.ensure(obj, ws.Class)
+	if err != nil {
+		return ws, err
+	}
+	if copied {
+		p.e.Tracer().BackupSync(t.ID(), uint64(obj))
+	}
+	return ws, t.Append(intentlog.Entry{Op: intentlog.OpWrite, Class: uint32(ws.Class), Obj: uint64(obj)}, nil)
+}
+
+// Commit makes the transaction durable and returns without copying any
+// data: the backup sync happens asynchronously, and the write locks and
+// the intent slot are released by the applier once main and backup agree.
+func (p policy) Commit(t *txcore.Tx) error {
+	e := p.e
+	if err := t.PersistHeap(); err != nil {
+		return err
+	}
+	// Commit point. Under group commit the marker persist is delegated to
+	// the committer, which folds concurrent markers into one fence epoch;
+	// the slot's state word is still this transaction's atomic commit
+	// point either way.
+	if ch := e.commitCh; ch != nil {
+		start := time.Now()
+		done := make(chan error, 1)
+		ch <- commitReq{tl: t.Log(), done: done}
+		if err := <-done; err != nil {
+			return err
+		}
+		d := time.Since(start)
+		e.phGrpWait.Observe(d)
+		if tr := e.Tracer(); tr != nil {
+			tr.CommitMarker(t.ID())
+			tr.Span(string(obs.PhaseGroupCommitWait), t.ID(), d)
+		}
+	} else if err := t.MarkCommitted(); err != nil {
+		return err
+	}
+	if err := t.ApplyFrees(); err != nil {
+		return err
+	}
+	objs := make([]lockedObj, 0, len(t.WriteSet()))
+	for obj, ws := range t.WriteSet() {
+		objs = append(objs, lockedObj{obj: obj, class: ws.Class})
+	}
+	t.HandOff()
+	e.inFlt.Add(1)
+	e.pending.Add(1)
+	e.routeApply(objs) <- applyReq{tl: t.Log(), owner: locktable.Owner(t.ID()), objs: objs, committedAt: time.Now()}
+	return nil
+}
+
+// Abort restores every modified object from the backup.
+func (p policy) Abort(t *txcore.Tx) error { return t.Rollback(p.e.restore) }
+
+// Recover implements the paper's recovery procedure for one slot:
+// committed transactions are rolled forward into the backup (after
+// re-applying their deferred frees); running or aborted transactions are
+// rolled back from the backup. Incomplete transactions are treated the
+// same as aborted ones.
 //
 // Slots are reconciled concurrently (one goroutine per slot group): the
 // engine's locking guarantees unreconciled transactions never overlap on
 // an object, the backends' copies take sharded or single mutexes, and the
 // strict NVM region stripes its line locks — so per-slot work is
 // independent.
-func (e *Engine) Recover() error {
-	return e.log.RecoverParallel(runtime.GOMAXPROCS(0), func(v intentlog.SlotView) error {
-		switch v.State {
-		case intentlog.StateCommitted:
-			for _, ent := range v.Entries {
-				if ent.Op == intentlog.OpFree {
-					if err := e.heap.ApplyFree(heap.ObjID(ent.Obj)); err != nil {
-						return err
-					}
-				}
-			}
-			for _, ent := range v.Entries {
-				if err := e.backend.syncToBackup(heap.ObjID(ent.Obj), int(ent.Class)); err != nil {
-					return err
-				}
-			}
-		case intentlog.StateRunning, intentlog.StateAborted:
-			for i := len(v.Entries) - 1; i >= 0; i-- {
-				ent := v.Entries[i]
-				switch ent.Op {
-				case intentlog.OpWrite:
-					if err := e.backend.restoreFromBackup(heap.ObjID(ent.Obj), int(ent.Class)); err != nil {
-						return err
-					}
-				case intentlog.OpAlloc:
-					if err := e.heap.RollbackAlloc(heap.ObjID(ent.Obj), int(ent.Class)); err != nil {
-						return err
-					}
-				case intentlog.OpFree:
-					// Deferred free never happened.
-				}
-			}
-		}
-		return v.Free()
-	})
-}
-
-// Begin implements engine.Engine.
-func (e *Engine) Begin() (engine.Tx, error) {
-	if err := e.err(); err != nil {
-		return nil, fmt.Errorf("kamino: engine failed: %w", err)
-	}
-	if err := e.heap.TouchEpoch(); err != nil {
-		return nil, err
-	}
-	tl, err := e.log.Begin()
-	if err != nil {
-		return nil, err
-	}
-	return &tx{e: e, tl: tl, writeSet: make(map[heap.ObjID]wsEntry)}, nil
-}
-
-// wsEntry tracks one write-set member. writable is false for objects that
-// were only Free'd: they are locked and logged, but in-place writes require
-// a prior Add (which installs the backup copy aborts restore from).
-type wsEntry struct {
-	class    int
-	writable bool
-}
-
-type tx struct {
-	e        *Engine
-	tl       *intentlog.TxLog
-	done     bool
-	began    bool // TxBegin emitted (first write intent)
-	writeSet map[heap.ObjID]wsEntry
-	reads    []heap.ObjID
-	frees    []heap.ObjID
-}
-
-func (t *tx) ID() uint64             { return t.tl.TxID() }
-func (t *tx) owner() locktable.Owner { return locktable.Owner(t.tl.TxID()) }
-
-// traceBegin emits the transaction's TxBegin marker ahead of its first
-// traced lifecycle event. Deferring it off Begin keeps read-only
-// transactions out of the trace entirely: they touch no NVM (the intent
-// slot header is lazily initialized too), hold no pending state, and no
-// auditor rule consumes a transaction without a write intent — so their
-// events would be pure recording cost at audit-overhead time.
-func (t *tx) traceBegin(tr *trace.Tracer) {
-	if !t.began {
-		t.began = true
-		tr.TxBegin(t.ID())
-	}
-}
-
-// lockObj acquires obj's write lock, attributing any blocking on a prior
-// transaction's unreconciled write-set to the dependent-stall phase.
-func (t *tx) lockObj(obj heap.ObjID) {
-	if t.e.locks.TryLock(uint64(obj), t.owner()) {
-		if tr := t.e.trc(); tr != nil {
-			t.traceBegin(tr)
-			tr.LockAcquire(t.ID(), uint64(obj))
-		}
-		return
-	}
-	t.e.depWaits.Add(1)
-	start := time.Now()
-	t.e.locks.Lock(uint64(obj), t.owner())
-	d := time.Since(start)
-	t.e.phStall.Observe(d)
-	if tr := t.e.trc(); tr != nil {
-		t.traceBegin(tr)
-		tr.LockAcquire(t.ID(), uint64(obj))
-		tr.Span(string(obs.PhaseDependentStall), t.ID(), d)
-	}
-}
-
-// Add declares the write intent: lock (blocking on pending objects), make
-// sure a consistent backup copy exists, and durably log the object address.
-// No data is copied (the dynamic backend copies only on a backup miss).
-func (t *tx) Add(obj heap.ObjID) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	if ws, ok := t.writeSet[obj]; ok {
-		if ws.writable {
-			return nil
-		}
-		// Already locked by a Free; upgrade to writable by installing
-		// the backup copy and the write intent.
-		copied, err := t.e.backend.ensure(obj, ws.class)
-		if err != nil {
+func (p policy) Recover(v intentlog.SlotView) error {
+	e := p.e
+	if v.State == intentlog.StateCommitted {
+		if err := e.ApplyLoggedFrees(v.Entries); err != nil {
 			return err
 		}
-		if copied {
-			t.e.trc().BackupSync(t.ID(), uint64(obj))
-		}
-		if err := t.e.timedAppend(t.tl, intentlog.Entry{
-			Op:    intentlog.OpWrite,
-			Class: uint32(ws.class),
-			Obj:   uint64(obj),
-		}); err != nil {
-			return err
-		}
-		t.writeSet[obj] = wsEntry{class: ws.class, writable: true}
-		return nil
-	}
-	t.lockObj(obj)
-	// Header reads only under the object lock: a committed Free rewrites
-	// the header (free-list link) while its lock is still held.
-	cls, err := t.e.heap.ClassOf(obj)
-	if err != nil {
-		t.e.locks.Unlock(uint64(obj), t.owner())
-		return err
-	}
-	// Backup-exists-before-modify (paper §3): holding the lock, the
-	// backup copy of obj is in sync; for the dynamic backend this may
-	// create it on demand.
-	copied, err := t.e.backend.ensure(obj, cls)
-	if err != nil {
-		t.e.locks.Unlock(uint64(obj), t.owner())
-		return err
-	}
-	if copied {
-		t.e.trc().BackupSync(t.ID(), uint64(obj))
-	}
-	if err := t.e.timedAppend(t.tl, intentlog.Entry{
-		Op:    intentlog.OpWrite,
-		Class: uint32(cls),
-		Obj:   uint64(obj),
-	}); err != nil {
-		t.e.locks.Unlock(uint64(obj), t.owner())
-		return err
-	}
-	t.writeSet[obj] = wsEntry{class: cls, writable: true}
-	return nil
-}
-
-func (t *tx) Write(obj heap.ObjID, off int, data []byte) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	ws, ok := t.writeSet[obj]
-	if !ok || !ws.writable {
-		return fmt.Errorf("%w: %d", engine.ErrNotInTx, obj)
-	}
-	if err := t.e.heap.Write(obj, off, data); err != nil {
-		return err
-	}
-	t.e.trc().InPlaceWrite(t.ID(), uint64(obj), int(obj)+off, len(data))
-	return nil
-}
-
-func (t *tx) Read(obj heap.ObjID) ([]byte, error) {
-	if t.done {
-		return nil, engine.ErrTxDone
-	}
-	if _, ok := t.writeSet[obj]; !ok {
-		t.e.locks.RLock(uint64(obj), t.owner())
-		t.reads = append(t.reads, obj)
-	}
-	return t.e.heap.Bytes(obj)
-}
-
-func (t *tx) Alloc(size int) (heap.ObjID, error) {
-	if t.done {
-		return heap.Nil, engine.ErrTxDone
-	}
-	obj, err := t.e.heap.Reserve(size)
-	if err != nil {
-		return heap.Nil, err
-	}
-	cls, err := t.e.heap.ClassOf(obj)
-	if err != nil {
-		return heap.Nil, err
-	}
-	t.e.locks.Lock(uint64(obj), t.owner())
-	if tr := t.e.trc(); tr != nil {
-		t.traceBegin(tr)
-		tr.LockAcquire(t.ID(), uint64(obj))
-	}
-	if err := t.e.timedAppend(t.tl, intentlog.Entry{
-		Op:    intentlog.OpAlloc,
-		Class: uint32(cls),
-		Obj:   uint64(obj),
-	}); err != nil {
-		t.e.locks.Unlock(uint64(obj), t.owner())
-		relErr := t.e.heap.ReleaseReservation(obj)
-		if relErr != nil {
-			return heap.Nil, fmt.Errorf("%w (and release failed: %v)", err, relErr)
-		}
-		return heap.Nil, err
-	}
-	if err := t.e.heap.CommitAlloc(obj); err != nil {
-		return heap.Nil, err
-	}
-	t.writeSet[obj] = wsEntry{class: cls, writable: true}
-	return obj, nil
-}
-
-func (t *tx) Free(obj heap.ObjID) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	// Lock and record intent; the free itself is deferred to commit, so
-	// an abort has nothing to undo and no backup copy is required.
-	if ws, ok := t.writeSet[obj]; ok {
-		if err := t.e.timedAppend(t.tl, intentlog.Entry{
-			Op:    intentlog.OpFree,
-			Class: uint32(ws.class),
-			Obj:   uint64(obj),
-		}); err != nil {
-			return err
-		}
-	} else {
-		t.lockObj(obj)
-		cls, err := t.e.heap.ClassOf(obj)
-		if err != nil {
-			t.e.locks.Unlock(uint64(obj), t.owner())
-			return err
-		}
-		if err := t.e.timedAppend(t.tl, intentlog.Entry{
-			Op:    intentlog.OpFree,
-			Class: uint32(cls),
-			Obj:   uint64(obj),
-		}); err != nil {
-			t.e.locks.Unlock(uint64(obj), t.owner())
-			return err
-		}
-		t.writeSet[obj] = wsEntry{class: cls, writable: false}
-	}
-	t.frees = append(t.frees, obj)
-	return nil
-}
-
-// Commit makes the transaction durable and returns without copying any
-// data: the backup sync happens asynchronously, and the write locks are
-// released by the applier once main and backup agree.
-func (t *tx) Commit() error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	if t.e.closed.Load() {
-		return fmt.Errorf("kamino: engine closed")
-	}
-	if len(t.writeSet) == 0 {
-		// Read-only fast path: nothing was logged (the intent slot
-		// header was never written), nothing needs flushing, fencing,
-		// a commit marker or the backup applier. Drop the read locks
-		// and hand the slot back — the transaction leaves no durable
-		// state and no trace events behind.
-		if err := t.tl.Release(); err != nil {
-			return err
-		}
-		for _, obj := range t.reads {
-			t.e.locks.RUnlock(uint64(obj), t.owner())
-		}
-		t.done = true
-		t.e.commits.Add(1)
-		return nil
-	}
-	reg := t.e.heap.Region()
-	start := time.Now()
-	for obj, ws := range t.writeSet {
-		if err := reg.Flush(int(obj)-heap.BlockHeaderSize, heap.BlockHeaderSize+ws.class); err != nil {
-			return err
-		}
-	}
-	reg.Fence()
-	d := time.Since(start)
-	t.e.phHeap.Observe(d)
-	tr := t.e.trc()
-	tr.Span(string(obs.PhaseHeapPersist), t.ID(), d)
-	// Commit point. Under group commit the marker persist is delegated to
-	// the committer, which folds concurrent markers into one fence epoch;
-	// the slot's state word is still this transaction's atomic commit
-	// point either way.
-	start = time.Now()
-	if ch := t.e.commitCh; ch != nil {
-		done := make(chan error, 1)
-		ch <- commitReq{tl: t.tl, done: done}
-		if err := <-done; err != nil {
-			return err
-		}
-		d = time.Since(start)
-		t.e.phGrpWait.Observe(d)
-		if tr != nil {
-			tr.CommitMarker(t.ID())
-			tr.Span(string(obs.PhaseGroupCommitWait), t.ID(), d)
-		}
-	} else {
-		if err := t.tl.SetState(intentlog.StateCommitted); err != nil {
-			return err
-		}
-		d = time.Since(start)
-		t.e.phMarker.Observe(d)
-		if tr != nil {
-			tr.CommitMarker(t.ID())
-			tr.Span(string(obs.PhaseCommitPersist), t.ID(), d)
-		}
-	}
-	for _, obj := range t.frees {
-		if err := t.e.heap.ApplyFree(obj); err != nil {
-			return err
-		}
-	}
-	// Read locks impose no pending window.
-	for _, obj := range t.reads {
-		t.e.locks.RUnlock(uint64(obj), t.owner())
-	}
-	objs := make([]lockedObj, 0, len(t.writeSet))
-	for obj, ws := range t.writeSet {
-		objs = append(objs, lockedObj{obj: obj, class: ws.class})
-	}
-	t.done = true
-	t.e.commits.Add(1)
-	t.e.inFlt.Add(1)
-	t.e.pending.Add(1)
-	t.e.routeApply(objs) <- applyReq{tl: t.tl, owner: t.owner(), objs: objs, committedAt: time.Now()}
-	return nil
-}
-
-// Abort restores every modified object from the backup — the only moment
-// Kamino-Tx copies data synchronously for a non-dependent workload.
-func (t *tx) Abort() error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	if err := t.tl.SetState(intentlog.StateAborted); err != nil {
-		return err
-	}
-	entries, err := t.tl.Entries()
-	if err != nil {
-		return err
-	}
-	tr := t.e.trc()
-	for i := len(entries) - 1; i >= 0; i-- {
-		ent := entries[i]
-		switch ent.Op {
-		case intentlog.OpWrite:
-			if err := t.e.backend.restoreFromBackup(heap.ObjID(ent.Obj), int(ent.Class)); err != nil {
+		for _, ent := range v.Entries {
+			if err := e.backend.syncToBackup(heap.ObjID(ent.Obj), int(ent.Class)); err != nil {
 				return err
 			}
-			tr.Rollback(t.ID(), ent.Obj)
-		case intentlog.OpAlloc:
-			if err := t.e.heap.RollbackAlloc(heap.ObjID(ent.Obj), int(ent.Class)); err != nil {
-				return err
-			}
-			tr.Rollback(t.ID(), ent.Obj)
-		case intentlog.OpFree:
-			// Deferred free never happened.
 		}
-	}
-	if err := t.tl.Release(); err != nil {
+	} else if err := e.Rollback(nil, 0, v.Entries, e.restore); err != nil {
 		return err
 	}
-	// Reads release before writes: an upgraded object's read holds are
-	// absorbed by its write lock and must not outlive it.
-	for _, obj := range t.reads {
-		t.e.locks.RUnlock(uint64(obj), t.owner())
-	}
-	for obj := range t.writeSet {
-		t.e.locks.Unlock(uint64(obj), t.owner())
-	}
-	t.done = true
-	t.e.aborts.Add(1)
-	if t.began {
-		tr.Abort(t.ID())
-	}
-	return nil
+	return v.Free()
 }

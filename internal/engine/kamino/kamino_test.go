@@ -6,6 +6,7 @@ import (
 
 	"kaminotx/internal/engine"
 	"kaminotx/internal/engine/enginetest"
+	"kaminotx/internal/engine/txcore"
 	"kaminotx/internal/heap"
 	"kaminotx/internal/intentlog"
 	"kaminotx/internal/nvm"
@@ -168,21 +169,21 @@ func TestCrashBetweenCommitAndBackupSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := txi.(*tx)
+	tx := txi.(*txcore.Tx)
 	if err := tx.Add(obj); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Write(obj, 0, []byte("v2......")); err != nil {
 		t.Fatal(err)
 	}
-	reg := e.heap.Region()
-	for o, ws := range tx.writeSet {
-		if err := reg.Flush(int(o)-heap.BlockHeaderSize, heap.BlockHeaderSize+ws.class); err != nil {
+	reg := e.Heap().Region()
+	for o, ws := range tx.WriteSet() {
+		if err := reg.Flush(int(o)-heap.BlockHeaderSize, heap.BlockHeaderSize+ws.Class); err != nil {
 			t.Fatal(err)
 		}
 	}
 	reg.Fence()
-	if err := tx.tl.SetState(intentlog.StateCommitted); err != nil {
+	if err := tx.Log().SetState(intentlog.StateCommitted); err != nil {
 		t.Fatal(err)
 	}
 	// Power failure now.

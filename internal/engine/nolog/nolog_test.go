@@ -17,7 +17,7 @@ func TestConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := nolog.New(reg)
+			e, err := nolog.New(reg, nolog.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -31,7 +31,7 @@ func TestReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := nolog.New(reg)
+	e, err := nolog.New(reg, nolog.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestReopen(t *testing.T) {
 	if err := reg.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := nolog.Open(reg)
+	e2, err := nolog.Open(reg, nolog.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := undo.New(heapReg, logReg, logCfg)
+			e, err := undo.New(heapReg, logReg, undo.Config{Log: logCfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +37,7 @@ func TestConformance(t *testing.T) {
 				if err := logReg.Crash(); err != nil {
 					return nil, err
 				}
-				return undo.Open(heapReg, logReg)
+				return undo.Open(heapReg, logReg, undo.Config{})
 			}
 			return inst
 		},
@@ -47,7 +47,7 @@ func TestConformance(t *testing.T) {
 func TestStatsCountCriticalCopies(t *testing.T) {
 	heapReg, _ := nvm.New(1<<20, nvm.Options{Mode: nvm.ModeStrict})
 	logReg, _ := nvm.New(logCfg.RegionSize(), nvm.Options{Mode: nvm.ModeStrict})
-	e, err := undo.New(heapReg, logReg, logCfg)
+	e, err := undo.New(heapReg, logReg, undo.Config{Log: logCfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -626,7 +626,22 @@ func (h *Heap) pushFreeIfAbsent(cls int, obj ObjID) {
 			}
 		}
 	}
-	s := &h.shards[h.hintShard()]
+	// Prefer the hint shard, but when it holds no block of this class,
+	// join the shard that does: with the class's free blocks on one list
+	// and the freed one on top, the next allocation of the class reuses it
+	// whichever shard it starts from. The hint alone cannot promise that —
+	// it lives in a sync.Pool, which GC (and the race detector) drains, and
+	// the goroutine may resume on another processor.
+	n := len(h.shards)
+	home := h.hintShard()
+	target := home
+	for i := 0; i < n; i++ {
+		if j := (home + i) % n; len(h.shards[j].free[cls]) > 0 {
+			target = j
+			break
+		}
+	}
+	s := &h.shards[target]
 	s.free[cls] = append(s.free[cls], obj)
 }
 

@@ -177,6 +177,11 @@ type Server struct {
 	connWG sync.WaitGroup // live connection handlers
 	batchWG sync.WaitGroup
 
+	// reqMu orders every reqWG.Add before or after a whole drain/quiesce
+	// Wait: the WaitGroup contract forbids an Add from zero while a Wait
+	// is running, and requests keep arriving (to be rejected) meanwhile.
+	reqMu sync.RWMutex
+
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
@@ -481,7 +486,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			break
 		}
 		now := time.Now()
+		s.reqMu.RLock()
 		s.reqWG.Add(1)
+		s.reqMu.RUnlock()
 		p := &pending{
 			done:     make(chan struct{}),
 			kind:     req.Kind,
@@ -745,7 +752,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	done := make(chan struct{})
 	go func() {
-		s.reqWG.Wait()
+		s.waitRequests()
 		close(done)
 	}()
 	select {
@@ -796,7 +803,7 @@ func (s *Server) Quiesce(ctx context.Context, fn func() error) error {
 	defer s.paused.Store(false)
 	done := make(chan struct{})
 	go func() {
-		s.reqWG.Wait()
+		s.waitRequests()
 		close(done)
 	}()
 	select {
@@ -805,6 +812,14 @@ func (s *Server) Quiesce(ctx context.Context, fn func() error) error {
 		return ctx.Err()
 	}
 	return fn()
+}
+
+// waitRequests blocks until every accepted request has completed; new
+// requests wait in serveConn until it returns.
+func (s *Server) waitRequests() {
+	s.reqMu.Lock()
+	s.reqWG.Wait()
+	s.reqMu.Unlock()
 }
 
 // Quiescing reports whether a Quiesce pause is currently shedding

@@ -272,12 +272,7 @@ func (p *Pool) loadIndexStash(raw []byte) {
 }
 
 // RecoveryReport returns the staged-pipeline timings of the engine open
-// that produced the current incarnation — nil for a freshly created pool
-// or an engine that does not report stages. kaminod logs it; the recovery
-// benchmark attributes time-to-first-transaction with it.
-func (p *Pool) RecoveryReport() []recovery.StageReport {
-	if r, ok := p.eng.(interface{ RecoveryReport() []recovery.StageReport }); ok {
-		return r.RecoveryReport()
-	}
-	return nil
-}
+// that produced the current incarnation — nil for a freshly created pool.
+// kaminod logs it; the recovery benchmark attributes
+// time-to-first-transaction with it.
+func (p *Pool) RecoveryReport() []recovery.StageReport { return p.eng.RecoveryReport() }

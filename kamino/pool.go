@@ -35,6 +35,7 @@ import (
 	"kaminotx/internal/engine/inplace"
 	"kaminotx/internal/engine/kamino"
 	"kaminotx/internal/engine/nolog"
+	"kaminotx/internal/engine/txcore"
 	"kaminotx/internal/engine/undo"
 	"kaminotx/internal/heap"
 	"kaminotx/internal/nvm"
@@ -186,9 +187,10 @@ func (p *Pool) makeIndexRegion() error {
 
 func (p *Pool) makeEngine(fresh bool) error {
 	var err error
+	base := txcore.Config{Log: p.opts.logConfig(), Shards: p.opts.Shards}
 	switch p.opts.Mode {
 	case ModeSimple, ModeDynamic:
-		cfg := kamino.Config{Log: p.opts.logConfig(), ApplierWorkers: p.opts.ApplierWorkers, GroupCommit: p.opts.GroupCommit, Shards: p.opts.Shards}
+		cfg := kamino.Config{Log: base.Log, ApplierWorkers: p.opts.ApplierWorkers, GroupCommit: p.opts.GroupCommit, Shards: base.Shards}
 		if !fresh {
 			// Offer the restored lookup-table snapshot (if any); the
 			// engine uses it only when its epoch still matches the image.
@@ -196,35 +198,15 @@ func (p *Pool) makeEngine(fresh bool) error {
 				cfg.BackupIndex = &kamino.BackupIndexSnapshot{Epoch: p.idxStashEpoch, Data: data}
 			}
 		}
-		if fresh {
-			p.eng, err = kamino.New(p.mainReg, p.backupReg, p.logReg, cfg)
-		} else {
-			p.eng, err = kamino.Open(p.mainReg, p.backupReg, p.logReg, cfg)
-		}
+		p.eng, err = pick(fresh, kamino.New, kamino.Open)(p.mainReg, p.backupReg, p.logReg, cfg)
 	case ModeUndo:
-		if fresh {
-			p.eng, err = undo.NewSharded(p.mainReg, p.logReg, p.opts.logConfig(), p.opts.Shards)
-		} else {
-			p.eng, err = undo.OpenSharded(p.mainReg, p.logReg, p.opts.Shards)
-		}
+		p.eng, err = pick(fresh, undo.New, undo.Open)(p.mainReg, p.logReg, base)
 	case ModeCoW:
-		if fresh {
-			p.eng, err = cow.NewSharded(p.mainReg, p.logReg, p.opts.logConfig(), p.opts.Shards)
-		} else {
-			p.eng, err = cow.OpenSharded(p.mainReg, p.logReg, p.opts.Shards)
-		}
+		p.eng, err = pick(fresh, cow.New, cow.Open)(p.mainReg, p.logReg, base)
 	case ModeNoLog:
-		if fresh {
-			p.eng, err = nolog.NewSharded(p.mainReg, p.opts.Shards)
-		} else {
-			p.eng, err = nolog.OpenSharded(p.mainReg, p.opts.Shards)
-		}
+		p.eng, err = pick(fresh, nolog.New, nolog.Open)(p.mainReg, nolog.Config{Shards: base.Shards})
 	case ModeInPlace:
-		if fresh {
-			p.eng, err = inplace.NewSharded(p.mainReg, p.logReg, p.opts.logConfig(), p.opts.Shards)
-		} else {
-			p.eng, err = inplace.OpenSharded(p.mainReg, p.logReg, p.opts.Shards)
-		}
+		p.eng, err = pick(fresh, inplace.New, inplace.Open)(p.mainReg, p.logReg, base)
 	default:
 		err = fmt.Errorf("kamino: unknown mode %q", p.opts.Mode)
 	}
@@ -236,6 +218,15 @@ func (p *Pool) makeEngine(fresh bool) error {
 	}
 	p.attachTrace()
 	return nil
+}
+
+// pick selects an engine's formatting constructor for a fresh pool and its
+// recovering one otherwise.
+func pick[F any](fresh bool, newFn, openFn F) F {
+	if fresh {
+		return newFn
+	}
+	return openFn
 }
 
 // attachTrace registers this engine incarnation with the pool's trace
@@ -303,7 +294,8 @@ func (p *Pool) UpdateT(fn func(*Tx) error) (uint64, error) {
 
 // View runs fn inside a transaction that is always aborted; use it for
 // read-only work (reads acquire read locks, so views see consistent data
-// and wait for pending objects).
+// and wait for pending objects). Ending a read-only transaction rolls
+// nothing back, so it is not counted in Stats().Aborts.
 func (p *Pool) View(fn func(*Tx) error) error {
 	tx, err := p.Begin()
 	if err != nil {

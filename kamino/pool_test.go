@@ -38,6 +38,29 @@ func TestCreateAllModes(t *testing.T) {
 	}
 }
 
+// TestViewIsNotAnAbort: View always ends its transaction with Abort, but a
+// read-only transaction rolls nothing back, so it must not count as one —
+// otherwise every lookup would bury the real rollbacks in Stats and
+// /metrics.
+func TestViewIsNotAnAbort(t *testing.T) {
+	for _, mode := range append(allModes(), ModeInPlace) {
+		t.Run(string(mode), func(t *testing.T) {
+			p := testPool(t, mode)
+			before := p.Stats().Aborts
+			err := p.View(func(tx *Tx) error {
+				_, err := tx.Read(p.Root())
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.Stats().Aborts; got != before {
+				t.Errorf("View moved Stats().Aborts %d -> %d", before, got)
+			}
+		})
+	}
+}
+
 func TestCreateRejectsBadOptions(t *testing.T) {
 	if _, err := Create(Options{Mode: "bogus"}); err == nil {
 		t.Error("bogus mode accepted")
